@@ -487,10 +487,12 @@ void DiagnosisService::finish(Job& job, JobResult result) {
   const bool anomaly = result.status != JobStatus::kDone;
   recorder_.record(std::move(rec));
 
-  job.promise_.set_value(std::move(result));
+  // Dump before resolving: whoever wait()s on an anomalous job must find
+  // the postmortem already delivered (as the submit-time gates do).
   if (anomaly && options_.flightDumpSink) {
     options_.flightDumpSink(dumpFlightRecorder());
   }
+  job.promise_.set_value(std::move(result));
 }
 
 std::string DiagnosisService::dumpFlightRecorder() const {

@@ -185,10 +185,15 @@ struct ServiceOptions {
   std::uint64_t provenanceSampleEvery = 16;
   /// Sink for automatic flight-recorder dumps, invoked with the rendered
   /// buffer whenever a job resolves anomalously (failed, cancelled,
-  /// deadline exceeded) or a submission is rejected by the cost gate.
+  /// deadline exceeded) or a submission is rejected by the cost or
+  /// signature gate.
   /// Null (default) disables automatic dumps; dumpFlightRecorder() always
   /// works. Called from worker (or submitting) threads — keep it cheap and
-  /// thread-safe.
+  /// thread-safe. Ordering: the sink has returned before the job's future
+  /// resolves, and for a gate rejection before submit() throws, so a
+  /// caller that observes the anomaly finds its dump already delivered.
+  /// The sink must not throw: an exception from it escapes the worker
+  /// thread.
   std::function<void(const std::string&)> flightDumpSink;
 };
 

@@ -3,9 +3,11 @@
 // auto-dump hook on anomalous job outcomes.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "circuit/catalog.h"
@@ -167,6 +169,37 @@ TEST(FlightRecorderService, DumpsOnAnomalousOutcome) {
   const std::lock_guard<std::mutex> lock(mu);
   ASSERT_FALSE(dumps.empty());
   EXPECT_NE(dumps.front().find("flames flight recorder"), std::string::npos);
+}
+
+TEST(FlightRecorderService, DumpIsDeliveredBeforeTheJobResolves) {
+  // A slow sink makes the ordering deterministic: if the worker resolved the
+  // job's future before invoking the sink, wait() would return while the
+  // sink is still sleeping and the dump would not be there yet.
+  const LadderBench b = ladderBench(1);
+  ASSERT_FALSE(b.traffic.empty());
+  std::mutex mu;
+  std::vector<std::string> dumps;
+  ServiceOptions sopts;
+  sopts.workers = 1;
+  sopts.flightDumpSink = [&](const std::string& dump) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const std::lock_guard<std::mutex> lock(mu);
+    dumps.push_back(dump);
+  };
+  DiagnosisService svc(sopts);
+
+  DiagnosisRequest req;
+  req.netlist = b.net;
+  for (const auto& r : b.traffic.front().readings) {
+    req.measurements.push_back(crispMeasurement(r.node, r.volts));
+  }
+  req.deadline = std::chrono::nanoseconds(1);  // expires immediately
+  const JobResult& jr = svc.submit(req)->wait();
+  ASSERT_EQ(jr.status, JobStatus::kDeadlineExceeded);
+
+  const std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(dumps.size(), 1u);
+  EXPECT_NE(dumps.front().find("job 1 deadline_exceeded"), std::string::npos);
 }
 
 TEST(FlightRecorderService, OnDemandDumpRendersTheRing) {
