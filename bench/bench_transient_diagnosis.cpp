@@ -8,6 +8,7 @@
 #include "circuit/fault.h"
 #include "circuit/transient.h"
 #include "diagnosis/transient_diagnosis.h"
+#include "obs/obs.h"
 
 namespace {
 
@@ -99,12 +100,17 @@ void printAccuracyTable() {
 void BM_TransientSolve(benchmark::State& state) {
   const auto steps = static_cast<double>(state.range(0));
   const Netlist net = twoStageRc();
+  std::size_t factorizations = 0;
   for (auto _ : state) {
     circuit::TransientSolver solver(net, {0.02, 50});
     solver.setWaveform("Vin", [](double t) { return t > 0.0 ? 1.0 : 0.0; });
-    benchmark::DoNotOptimize(solver.run(steps * 0.02));
+    const circuit::TransientResult r = solver.run(steps * 0.02);
+    factorizations = r.factorizations;
+    benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
+  // LU factorizations per run, the DC point included.
+  state.counters["factorizations"] = static_cast<double>(factorizations);
 }
 BENCHMARK(BM_TransientSolve)->Arg(100)->Arg(500)->Arg(2000);
 
@@ -119,6 +125,14 @@ void BM_TransientDiagnose(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.diagnose());
   }
+  // Transient runs per diagnose(), counted on one extra call.
+  const bool wasEnabled = obs::enabled();
+  obs::setEnabled(true);
+  obs::Counter& runs = obs::counter("diagnosis.transient_runs");
+  const std::uint64_t before = runs.value();
+  benchmark::DoNotOptimize(engine.diagnose());
+  state.counters["transient_runs"] = static_cast<double>(runs.value() - before);
+  obs::setEnabled(wasEnabled);
 }
 BENCHMARK(BM_TransientDiagnose);
 

@@ -18,12 +18,26 @@ std::vector<Drive> dcDrives(const Netlist& net) {
 
 LargeSignal solveLargeSignal(const Netlist& net, double s,
                              std::vector<Drive>& drives,
-                             const MnaOptions& options) {
+                             const MnaOptions& options, FactorCache* factors) {
   const std::vector<Component>& comps = net.components();
   LargeSignal out;
+  std::vector<DeviceState> key;
   for (int iter = 1; iter <= options.maxStateIterations; ++iter) {
     System<double> system(net, s, drives);
-    auto x = system.solve();
+    std::optional<std::vector<double>> x;
+    if (factors == nullptr) {
+      ++out.factorizations;
+      x = system.solve();
+    } else {
+      key.resize(drives.size());
+      for (std::size_t i = 0; i < drives.size(); ++i) key[i] = drives[i].state;
+      auto it = factors->find(key);
+      if (it == factors->end()) {
+        ++out.factorizations;
+        it = factors->emplace(key, system.factor()).first;
+      }
+      x = system.solve(it->second);
+    }
     if (!x) throw std::runtime_error("DcSolver: singular MNA system");
     out.x = std::move(*x);
     out.branch = system.branches();

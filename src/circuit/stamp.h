@@ -8,6 +8,7 @@
 // Internal to the circuit library.
 #pragma once
 
+#include <map>
 #include <optional>
 #include <vector>
 
@@ -55,12 +56,20 @@ class System {
   /// Branch-current index of each component, -1 for none.
   [[nodiscard]] const std::vector<long>& branches() const { return branch_; }
 
-  /// Solves A x = b, consuming A; nullopt if A is singular.
-  [[nodiscard]] std::optional<std::vector<T>> solve() {
-    const linalg::BasicLuDecomposition<T> lu(std::move(a_));
+  /// Factors A, consuming it.
+  [[nodiscard]] linalg::BasicLuDecomposition<T> factor() {
+    return linalg::BasicLuDecomposition<T>(std::move(a_));
+  }
+
+  /// Solves A x = b with a factor of A; nullopt if A is singular.
+  [[nodiscard]] std::optional<std::vector<T>> solve(
+      const linalg::BasicLuDecomposition<T>& lu) const {
     if (lu.singular()) return std::nullopt;
     return lu.solve(b_);
   }
+
+  /// Solves A x = b, consuming A.
+  [[nodiscard]] std::optional<std::vector<T>> solve() { return solve(factor()); }
 
  private:
   // The device table: what each component kind stamps. DC and AC results
@@ -204,14 +213,25 @@ struct LargeSignal {
   std::vector<double> x;     ///< unknowns of the last iteration
   std::vector<long> branch;  ///< branch index per component, -1 for none
   int iterations = 0;
+  std::size_t factorizations = 0;  ///< LU factorizations made
   bool converged = false;
 };
 
+/// LU factors of one netlist's matrices at one s, keyed by the per-component
+/// conduction states. At a fixed s the device table puts nothing else into
+/// A: source EMFs and capacitor/inductor history reach only b. So a cached
+/// factor is the factor a fresh assembly would compute, bit for bit.
+using FactorCache =
+    std::map<std::vector<DeviceState>, linalg::LuDecomposition>;
+
 /// Iterates the diode/BJT conduction states in `drives` to consistency over
 /// the device table at s = 0 (DC) or 1/h (a transient step), flipping them
-/// in place. Throws std::runtime_error on a singular system.
+/// in place. With `factors`, each state set's matrix is factored once and
+/// its factor reused (the cache must hold factors of `net` at this `s`
+/// only). Throws std::runtime_error on a singular system.
 [[nodiscard]] LargeSignal solveLargeSignal(const Netlist& net, double s,
                                            std::vector<Drive>& drives,
-                                           const MnaOptions& options);
+                                           const MnaOptions& options,
+                                           FactorCache* factors = nullptr);
 
 }  // namespace flames::circuit::mna

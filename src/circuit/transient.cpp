@@ -58,6 +58,7 @@ TransientResult TransientSolver::run(double duration) {
 
   TransientResult result;
   result.waveforms.assign(net_.nodeCount(), {});
+  result.factorizations = sol.factorizations;
   // Records the time point and moves each reactive element's history on:
   // capacitor voltage pin0 - pin1, inductor current pin0 -> pin1.
   auto record = [&](double t) {
@@ -77,17 +78,20 @@ TransientResult TransientSolver::run(double duration) {
   record(0.0);
 
   // Each step is the DC state iteration on the backward-Euler companions,
-  // starting from every diode and BJT conducting.
+  // starting from every diode and BJT conducting. All steps share s = 1/h,
+  // so they share one factor per state set.
+  mna::FactorCache factors;
   const auto steps = static_cast<std::size_t>(stepCount);
   for (std::size_t k = 1; k <= steps; ++k) {
     const double t = static_cast<double>(k) * h;
     setSources(t);
     for (mna::Drive& d : drives) d.state = DeviceState::kOn;
-    sol = mna::solveLargeSignal(net_, 1.0 / h, drives, mnaOpts);
+    sol = mna::solveLargeSignal(net_, 1.0 / h, drives, mnaOpts, &factors);
     if (!sol.converged) {
       throw std::runtime_error("TransientSolver: step " + std::to_string(k) +
                                " did not converge");
     }
+    result.factorizations += sol.factorizations;
     record(t);
   }
   return result;

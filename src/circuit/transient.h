@@ -36,6 +36,8 @@ struct TransientResult {
   std::vector<double> time;
   /// waveforms[nodeId][k] = voltage of node at time[k].
   std::vector<std::vector<double>> waveforms;
+  /// LU factorizations made, the initial DC point's included.
+  std::size_t factorizations = 0;
 
   [[nodiscard]] const std::vector<double>& waveform(NodeId n) const {
     return waveforms.at(n);
@@ -45,6 +47,9 @@ struct TransientResult {
 
 /// Backward-Euler transient solver. The initial condition is the DC
 /// operating point of the netlist with all waveforms evaluated at t = 0.
+/// Within a run, every step matrix is factored once per set of diode/BJT
+/// states and the factor reused: a linear circuit factors twice per run
+/// (the DC point and the step matrix).
 class TransientSolver {
  public:
   explicit TransientSolver(Netlist net, TransientOptions options = {});

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "atms/candidates.h"
+#include "obs/obs.h"
 
 namespace flames::diagnosis {
 
@@ -33,25 +35,61 @@ TransientDiagnosisEngine::TransientDiagnosisEngine(
       stepSource_(std::move(stepSource)),
       probes_(std::move(probes)),
       options_(options) {
+  if (!net_.hasComponent(stepSource_) ||
+      net_.component(stepSource_).kind != ComponentKind::kVSource) {
+    throw std::invalid_argument("TransientDiagnosisEngine: step source '" +
+                                stepSource_ + "' is not a vsource");
+  }
+  for (const StepProbe& p : probes_) {
+    try {
+      (void)net_.findNode(p.node);
+    } catch (const std::out_of_range&) {
+      throw std::invalid_argument(
+          "TransientDiagnosisEngine: unknown probe node '" + p.node + "'");
+    }
+  }
   buildModel();
+}
+
+std::vector<std::optional<double>> TransientDiagnosisEngine::simulateFeatures(
+    const Netlist& board) const {
+  return simulate(board, probes_);
 }
 
 std::optional<double> TransientDiagnosisEngine::simulateFeature(
     const Netlist& board, const StepProbe& probe) const {
+  return simulate(board, {&probe, 1}).front();
+}
+
+std::vector<std::optional<double>> TransientDiagnosisEngine::simulate(
+    const Netlist& board, std::span<const StepProbe> probes) const {
+  static obs::Counter& cRuns = obs::counter("diagnosis.transient_runs");
+  cRuns.add();
+  std::vector<std::optional<double>> features(probes.size());
+  circuit::TransientResult result;
   try {
     TransientSolver solver(board, options_.transient);
     const double level = options_.stepLevel;
     solver.setWaveform(stepSource_,
                        [level](double t) { return t > 0.0 ? level : 0.0; });
-    const auto result = solver.run(options_.duration);
-    const auto& wave = result.waveform(board.findNode(probe.node));
-    if (probe.feature == StepFeature::kFinalValue) return wave.back();
-    const double tr = circuit::riseTime(result.time, wave);
-    if (tr < 0.0) return std::nullopt;
-    return tr;
+    result = solver.run(options_.duration);
   } catch (const std::exception&) {
-    return std::nullopt;
+    return features;
   }
+  for (std::size_t p = 0; p < probes.size(); ++p) {
+    try {
+      const auto& wave = result.waveform(board.findNode(probes[p].node));
+      if (probes[p].feature == StepFeature::kFinalValue) {
+        features[p] = wave.back();
+      } else if (const double tr = circuit::riseTime(result.time, wave);
+                 tr >= 0.0) {
+        features[p] = tr;
+      }
+    } catch (const std::out_of_range&) {
+      // The probe's node is not on this board.
+    }
+  }
+  return features;
 }
 
 void TransientDiagnosisEngine::buildModel() {
@@ -60,15 +98,15 @@ void TransientDiagnosisEngine::buildModel() {
     assumptionOf_[c.name] = model_.addAssumption(c.name);
   }
 
+  const auto nominalFeatures = simulateFeatures(net_);
   std::vector<double> nominal(probes_.size(), 0.0);
   for (std::size_t p = 0; p < probes_.size(); ++p) {
-    const auto v = simulateFeature(net_, probes_[p]);
-    if (!v) {
+    if (!nominalFeatures[p]) {
       throw std::runtime_error(
           "TransientDiagnosisEngine: nominal feature undefined for " +
           quantityName(probes_[p]));
     }
-    nominal[p] = *v;
+    nominal[p] = *nominalFeatures[p];
     model_.addQuantity(quantityName(probes_[p]));
   }
 
@@ -80,8 +118,9 @@ void TransientDiagnosisEngine::buildModel() {
     for (double factor : {1.0 + c.relTol, 1.0 - c.relTol}) {
       Netlist bumped = net_;
       bumped.component(c.name).value *= factor;
+      const auto features = simulateFeatures(bumped);
       for (std::size_t p = 0; p < probes_.size(); ++p) {
-        const auto v = simulateFeature(bumped, probes_[p]);
+        const auto& v = features[p];
         const double delta =
             v ? std::abs(*v - nominal[p])
               : std::abs(nominal[p]) * c.relTol;  // broken bias: blame fully
@@ -103,10 +142,13 @@ void TransientDiagnosisEngine::buildModel() {
 }
 
 void TransientDiagnosisEngine::measure(const StepProbe& probe, double value) {
-  (void)model_.quantity(quantityName(probe));  // validate
+  const std::string name = quantityName(probe);
+  (void)model_.quantity(name);  // validate: some configured probe has it
+  std::size_t p = 0;
+  while (quantityName(probes_[p]) != name) ++p;
   const double s =
       std::max(std::abs(value) * options_.measurementRelSpread, 1e-12);
-  observations_.push_back({probe, FuzzyInterval::about(value, s)});
+  observations_.push_back({p, FuzzyInterval::about(value, s)});
 }
 
 void TransientDiagnosisEngine::clearMeasurements() { observations_.clear(); }
@@ -118,13 +160,14 @@ AcDiagnosisReport TransientDiagnosisEngine::diagnose() {
   popts.minNogoodDegree = options_.minNogoodDegree;
   Propagator prop(model_, popts);
   for (const Obs& obs : observations_) {
-    prop.addMeasurement(model_.quantity(quantityName(obs.probe)), obs.value);
+    prop.addMeasurement(model_.quantity(quantityName(probes_[obs.probe])),
+                        obs.value);
   }
   prop.run();
   report.propagationCompleted = prop.completed();
 
   for (const Obs& obs : observations_) {
-    const QuantityId q = model_.quantity(quantityName(obs.probe));
+    const QuantityId q = model_.quantity(quantityName(probes_[obs.probe]));
     MeasurementSummary ms;
     ms.quantity = model_.quantityInfo(q).name;
     ms.measured = obs.value;
@@ -161,10 +204,10 @@ AcDiagnosisReport TransientDiagnosisEngine::diagnose() {
     if (options_.refineWithFaultModes && rc.components.size() == 1) {
       const std::string& comp = rc.components.front();
       auto matchDegreeOf = [&](const circuit::Fault& fault) {
-        const Netlist faulted = circuit::applyFaults(net_, {fault});
+        const auto sims = simulateFeatures(circuit::applyFaults(net_, {fault}));
         double degree = 1.0;
         for (const Obs& obs : observations_) {
-          const auto sim = simulateFeature(faulted, obs.probe);
+          const auto& sim = sims[obs.probe];
           if (!sim) return 0.0;
           const double s =
               std::max(std::abs(*sim) * options_.simulationRelSpread, 1e-9);
@@ -196,11 +239,11 @@ AcDiagnosisReport TransientDiagnosisEngine::diagnose() {
       const Component& comprec = net_.component(comp);
       if (comprec.kind != ComponentKind::kVSource) {
         auto error = [&](double logF) {
-          const Netlist faulted = circuit::applyFaults(
-              net_, {circuit::Fault::paramScale(comp, std::exp(logF))});
+          const auto sims = simulateFeatures(circuit::applyFaults(
+              net_, {circuit::Fault::paramScale(comp, std::exp(logF))}));
           double sum = 0.0;
           for (const Obs& obs : observations_) {
-            const auto sim = simulateFeature(faulted, obs.probe);
+            const auto& sim = sims[obs.probe];
             if (!sim) return 1e18;
             const double m = obs.value.centroid();
             const double denom = std::max(std::abs(m), 1e-9);

@@ -11,6 +11,7 @@
 
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,8 +56,10 @@ struct TransientDiagnosisOptions {
 /// The time-domain engine (mirrors AcDiagnosisEngine).
 class TransientDiagnosisEngine {
  public:
-  /// Throws std::runtime_error if the nominal circuit cannot be simulated
-  /// or a probe feature is undefined on the nominal response.
+  /// Throws std::invalid_argument if `stepSource` names no vsource of `net`
+  /// or a probe names no node of it, and std::runtime_error if the nominal
+  /// circuit cannot be simulated or a probe feature is undefined on the
+  /// nominal response.
   TransientDiagnosisEngine(circuit::Netlist net, std::string stepSource,
                            std::vector<StepProbe> probes,
                            TransientDiagnosisOptions options = {});
@@ -69,13 +72,21 @@ class TransientDiagnosisEngine {
   /// Quantity naming: "rise(V(<node>))" / "final(V(<node>))".
   [[nodiscard]] static std::string quantityName(const StepProbe& probe);
 
-  /// Measures the configured probes on a (possibly faulted) copy of the
-  /// netlist — the bench side; returns nullopt if the response never
-  /// crosses the rise-time thresholds or the simulation fails.
+  /// Measures every configured probe on a (possibly faulted) copy of the
+  /// netlist from one transient run — the bench side. A probe's entry is
+  /// nullopt if its response never crosses the rise-time thresholds or its
+  /// node is not on `board`; every entry is nullopt if the simulation fails.
+  [[nodiscard]] std::vector<std::optional<double>> simulateFeatures(
+      const circuit::Netlist& board) const;
+
+  /// One probe's feature on `board`, as simulateFeatures reads it.
   [[nodiscard]] std::optional<double> simulateFeature(
       const circuit::Netlist& board, const StepProbe& probe) const;
 
  private:
+  /// One transient run of `board`, read at `probes`.
+  [[nodiscard]] std::vector<std::optional<double>> simulate(
+      const circuit::Netlist& board, std::span<const StepProbe> probes) const;
   void buildModel();
 
   circuit::Netlist net_;
@@ -85,7 +96,7 @@ class TransientDiagnosisEngine {
   constraints::Model model_;
   std::map<std::string, atms::AssumptionId> assumptionOf_;
   struct Obs {
-    StepProbe probe;
+    std::size_t probe;  ///< index into probes_
     fuzzy::FuzzyInterval value;
   };
   std::vector<Obs> observations_;

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "circuit/fault.h"
+#include "circuit/stamp.h"
+#include "workload/generators.h"
 
 namespace flames::circuit {
 namespace {
@@ -219,6 +224,137 @@ TEST(Transient, StepCountAndTimeAxis) {
   EXPECT_EQ(r.steps(), 11u);  // t = 0 plus 10 steps
   EXPECT_DOUBLE_EQ(r.time.front(), 0.0);
   EXPECT_NEAR(r.time.back(), 1.0, 1e-12);
+}
+
+// --- Factor reuse ---------------------------------------------------------
+
+// The reference the factor reuse is checked against: TransientSolver::run
+// with a fresh LU factor at every state iteration of every step.
+TransientResult freshFactorRun(const Netlist& net, const std::string& source,
+                               const SourceWaveform& wave, double h,
+                               double duration) {
+  const std::vector<Component>& comps = net.components();
+  const auto src = static_cast<std::size_t>(&net.component(source) -
+                                            comps.data());
+  MnaOptions opts;
+  opts.maxStateIterations = TransientOptions{}.maxStateIterationsPerStep;
+  std::vector<mna::Drive> drives = mna::dcDrives(net);
+  drives[src].emf = wave(0.0);
+  mna::LargeSignal sol = mna::solveLargeSignal(net, 0.0, drives, opts);
+  EXPECT_TRUE(sol.converged);
+
+  TransientResult r;
+  r.waveforms.assign(net.nodeCount(), {});
+  auto record = [&](double t) {
+    r.factorizations += sol.factorizations;
+    r.time.push_back(t);
+    for (NodeId n = 0; n < net.nodeCount(); ++n) {
+      r.waveforms[n].push_back(mna::nodeVoltage(sol.x, n));
+    }
+    for (std::size_t i = 0; i < comps.size(); ++i) {
+      if (comps[i].kind == ComponentKind::kCapacitor) {
+        drives[i].history = mna::nodeVoltage(sol.x, comps[i].pins[0]) -
+                            mna::nodeVoltage(sol.x, comps[i].pins[1]);
+      } else if (comps[i].kind == ComponentKind::kInductor) {
+        drives[i].history = sol.x[static_cast<std::size_t>(sol.branch[i])];
+      }
+    }
+  };
+  record(0.0);
+  const auto steps = static_cast<std::size_t>(std::ceil(duration / h));
+  for (std::size_t k = 1; k <= steps; ++k) {
+    const double t = static_cast<double>(k) * h;
+    drives[src].emf = wave(t);
+    for (mna::Drive& d : drives) d.state = DeviceState::kOn;
+    sol = mna::solveLargeSignal(net, 1.0 / h, drives, opts);
+    EXPECT_TRUE(sol.converged) << "step " << k;
+    record(t);
+  }
+  return r;
+}
+
+bool sameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](double x, double y) {
+                      return std::bit_cast<std::uint64_t>(x) ==
+                             std::bit_cast<std::uint64_t>(y);
+                    });
+}
+
+// Runs `net` both ways and requires every time point and node voltage to
+// match bit for bit; returns {reused, fresh} factorization counts.
+std::pair<std::size_t, std::size_t> expectReuseIsExact(
+    const Netlist& net, const std::string& source, const SourceWaveform& wave,
+    double h, double duration) {
+  TransientOptions opts;
+  opts.timeStep = h;
+  TransientSolver solver(net, opts);
+  solver.setWaveform(source, wave);
+  const TransientResult reused = solver.run(duration);
+  const TransientResult fresh = freshFactorRun(net, source, wave, h, duration);
+  EXPECT_TRUE(sameBits(reused.time, fresh.time));
+  EXPECT_EQ(reused.waveforms.size(), fresh.waveforms.size());
+  for (NodeId n = 0; n < net.nodeCount(); ++n) {
+    EXPECT_TRUE(sameBits(reused.waveform(n), fresh.waveform(n)))
+        << net.nodeName(n);
+  }
+  return {reused.factorizations, fresh.factorizations};
+}
+
+const SourceWaveform kUnitStep = [](double t) { return t > 0.0 ? 1.0 : 0.0; };
+
+TEST(TransientFactorReuse, RcFilterChainIsBitIdentical) {
+  const auto [reused, fresh] = expectReuseIsExact(
+      workload::rcFilterChain(2), "Vin", kUnitStep, 0.05, 8.0);
+  EXPECT_EQ(reused, 2u);       // the DC point and the one step matrix
+  EXPECT_EQ(fresh, 161u);      // the DC point and 160 steps
+}
+
+TEST(TransientFactorReuse, RlCircuitIsBitIdentical) {
+  Netlist n;
+  n.addVSource("Vin", "in", "0", 0.0);
+  n.addResistor("R1", "in", "mid", 1.5);
+  n.addInductor("L1", "mid", "0", 0.9);
+  const auto [reused, fresh] = expectReuseIsExact(
+      n, "Vin", [](double t) { return t > 0.0 ? 2.0 : 0.0; }, 0.02, 1.2);
+  EXPECT_EQ(reused, 2u);
+  EXPECT_EQ(fresh, 61u);
+}
+
+// An NPN switch with an inductive collector load and a flyback diode, its
+// base driven by a square wave: the transistor and the diode change state
+// across steps, and the state iteration visits several state sets within a
+// step, so the cache key changes and factors are both made and reused.
+TEST(TransientFactorReuse, SwitchedNpnAndFlybackDiodeIsBitIdentical) {
+  Netlist n;
+  n.addVSource("Vcc", "vcc", "0", 10.0);
+  n.addVSource("Vin", "in", "0", 0.0);
+  n.addResistor("Rb", "in", "b", 47.0);
+  n.addCapacitor("Cb", "b", "0", 0.02);
+  n.addNpn("T1", "c", "b", "e", 100.0);
+  n.addResistor("Re", "e", "0", 0.1);
+  n.addResistor("Rc", "vcc", "x", 1.0);
+  n.addInductor("L1", "x", "c", 0.5);
+  n.addDiode("D1", "c", "vcc", 0.7);
+  const SourceWaveform square = [](double t) {
+    return std::fmod(t, 2.0) < 1.0 ? 3.0 : 0.0;
+  };
+  const auto [reused, fresh] =
+      expectReuseIsExact(n, "Vin", square, 0.01, 8.0);
+  EXPECT_GT(reused, 2u);      // more than one state set was factored
+  EXPECT_LT(reused, 20u);     // and each only once
+  EXPECT_GT(fresh, 800u);     // at least one per step without reuse
+}
+
+TEST(TransientFactorReuse, LinearRunFactorsTwice) {
+  TransientOptions opts;
+  opts.timeStep = 0.1;
+  for (double duration : {0.0, 1.0, 20.0}) {
+    TransientSolver solver(rcCircuit(), opts);
+    solver.setWaveform("Vin", kUnitStep);
+    const TransientResult r = solver.run(duration);
+    EXPECT_EQ(r.factorizations, duration == 0.0 ? 1u : 2u) << duration;
+  }
 }
 
 }  // namespace
